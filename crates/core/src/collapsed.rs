@@ -279,7 +279,7 @@ impl CollapsedSesr {
         let mut planner = TilePlanner::new(Arc::new(CollapsedKernels::new(self)));
         for spec in plan.tiles() {
             let sr = planner.run_tile(lr, spec);
-            paste_interior(&sr, spec, s, w * s, out.data_mut());
+            spec.paste_interior(sr.data(), s, out.data_mut(), w * s);
         }
         Ok(out)
     }
@@ -319,34 +319,15 @@ impl CollapsedSesr {
             let mut planner = TilePlanner::new(kernels.clone());
             for spec in &tiles[a..b] {
                 let sr = planner.run_tile(lr, spec);
-                let out_w = w * s;
-                let sr_w = spec.patch_w() * s;
-                for y in spec.y0 * s..spec.y1 * s {
-                    let py = y - spec.ey0 * s;
-                    for x in spec.x0 * s..spec.x1 * s {
-                        let px = x - spec.ex0 * s;
-                        // SAFETY: tile interiors are disjoint regions of
-                        // the output buffer (TilePlan partitions the
-                        // image), so no two threads write the same index.
-                        unsafe { ptr.write(y * out_w + x, sr.data()[py * sr_w + px]) };
-                    }
+                for (off, row) in spec.interior_rows(sr.data(), s, w * s) {
+                    // SAFETY: tile interiors are disjoint regions of the
+                    // output buffer (TilePlan partitions the image), so
+                    // no two threads write the same index.
+                    unsafe { ptr.slice_mut(off, row.len()) }.copy_from_slice(row);
                 }
             }
         });
         Ok(out)
-    }
-}
-
-/// Copies the interior (non-halo) region of an upscaled tile into the
-/// full-image output buffer.
-fn paste_interior(sr: &Tensor, spec: &TileSpec, s: usize, out_w: usize, out: &mut [f32]) {
-    let sr_w = spec.patch_w() * s;
-    for y in spec.y0 * s..spec.y1 * s {
-        let py = y - spec.ey0 * s;
-        for x in spec.x0 * s..spec.x1 * s {
-            let px = x - spec.ex0 * s;
-            out[y * out_w + x] = sr.data()[py * sr_w + px];
-        }
     }
 }
 

@@ -90,6 +90,34 @@ impl TileSpec {
     pub fn patch_w(&self) -> usize {
         self.ex1 - self.ex0
     }
+
+    /// The interior of this tile's upscaled patch, one HR row at a time:
+    /// `(offset of the row's first interior pixel in an HR plane out_w
+    /// wide, the row's interior pixels in sr)`. `sr` is the network's
+    /// output for the halo-expanded patch at scale `s` (`patch_w() * s`
+    /// wide).
+    pub fn interior_rows<'a>(
+        &self,
+        sr: &'a [f32],
+        s: usize,
+        out_w: usize,
+    ) -> impl Iterator<Item = (usize, &'a [f32])> + 'a {
+        let sr_w = self.patch_w() * s;
+        let (y_skip, px0) = ((self.y0 - self.ey0) * s, (self.x0 - self.ex0) * s);
+        let (dx0, len) = (self.x0 * s, (self.x1 - self.x0) * s);
+        (self.y0 * s..self.y1 * s)
+            .zip(y_skip..)
+            .map(move |(y, py)| (y * out_w + dx0, &sr[py * sr_w + px0..][..len]))
+    }
+
+    /// Pastes the interior of this tile's upscaled patch `sr` (see
+    /// [`TileSpec::interior_rows`]) into the HR plane `out`, `out_w`
+    /// wide — one `copy_from_slice` per row.
+    pub fn paste_interior(&self, sr: &[f32], s: usize, out: &mut [f32], out_w: usize) {
+        for (off, row) in self.interior_rows(sr, s, out_w) {
+            out[off..off + row.len()].copy_from_slice(row);
+        }
+    }
 }
 
 /// The full tiling of an `h x w` LR image: a set of non-overlapping

@@ -1027,14 +1027,7 @@ mod tests {
         let s = 2;
         for spec in plan.tiles() {
             let sr = tp.run_tile(&lr, spec);
-            let sr_w = spec.patch_w() * s;
-            for y in spec.y0 * s..spec.y1 * s {
-                let py = y - spec.ey0 * s;
-                for x in spec.x0 * s..spec.x1 * s {
-                    let px = x - spec.ex0 * s;
-                    out.data_mut()[y * 58 + x] = sr.data()[py * sr_w + px];
-                }
-            }
+            spec.paste_interior(sr.data(), s, out.data_mut(), 58);
         }
         let exact = want
             .data()

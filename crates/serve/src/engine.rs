@@ -45,7 +45,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{ModelKey, ModelRegistry};
 use crate::telemetry::{Stage, Telemetry};
 use crate::video::{SessionStats, VideoError, VideoSession, VideoSessionSpec};
-use sesr_core::{CollapsedSesr, TilePlanner};
+use sesr_core::{CollapsedSesr, TilePlanner, TileSpec};
 use sesr_quant::QuantTilePlanner;
 use sesr_tensor::Tensor;
 use std::collections::HashMap;
@@ -1434,10 +1434,11 @@ fn terminal_failure(shared: &Shared, job: &Job, kind: &FailureKind, msg: &str) {
     }
 }
 
-/// Large single request: halo tiles fan across the intra-op thread pool
-/// (compute), then tile interiors are pasted into the output
-/// (reassembly). Tile-worker panics are contained: they fail this
-/// request (retryably), never the worker thread or the process.
+/// Large single request: halo tiles run in chunks, one per intra-op
+/// thread (compute), and each tile's interior is pasted into the output
+/// as soon as it is computed (reassembly). Tile panics are contained:
+/// they fail this request (retryably), never the worker thread or the
+/// process.
 fn run_tiled_request(
     shared: &Shared,
     plans: &mut PlanCache,
@@ -1488,10 +1489,11 @@ fn run_tiled_compute(
         .map_err(|e| TiledFailure::Plan(e.to_string()))?;
     let t0 = Instant::now();
     let specs = plan.tiles();
-    // Kernels come from the worker's plan cache (f32) or ride inside the
-    // precision decision (int8) and are shared by every tile thread
-    // below; each thread builds its own (cheap) per-shape tile plans
-    // over them.
+    // The first chunk of tiles runs inline on this worker through its
+    // cached tile planner, whose per-shape plans stay warm across
+    // requests. Further chunks (only with more than one intra-op thread)
+    // each get a scoped thread and a fresh planner over kernels from the
+    // worker's plan cache (f32) or from the precision decision (int8).
     let (fkernels, qkernels, kernels_hit) = match decision.precision {
         Precision::F32 => {
             let (k, hit) = plans.kernels_for(&job.key, model);
@@ -1509,26 +1511,53 @@ fn run_tiled_compute(
     };
     let peak_arena = AtomicU64::new(0);
     // Chaos draws once per tiled attempt; the panic detonates inside a
-    // tile worker so the containment path is the one exercised.
+    // tile run so the containment path is the one exercised.
     let inject = shared.chaos.as_ref().is_some_and(Chaos::panic_in_forward);
     if inject {
         shared.count_fault(FaultPoint::PanicInForward);
     }
     let armed = AtomicBool::new(inject);
     let crash: Mutex<Option<String>> = Mutex::new(None);
-    let mut tiles: Vec<Option<Tensor>> = (0..specs.len()).map(|_| None).collect();
-    {
-        let threads = sesr_tensor::parallel::num_threads().clamp(1, specs.len().max(1));
-        let chunk = specs.len().div_ceil(threads);
-        let mut rest: &mut [Option<Tensor>] = &mut tiles;
-        let scope_result = crossbeam::scope(|s| {
-            for chunk_specs in specs.chunks(chunk) {
-                let (head, tail) = rest.split_at_mut(chunk_specs.len());
-                rest = tail;
-                let input = &job.input;
-                let (armed, crash, peak_arena) = (&armed, &crash, &peak_arena);
-                let (fkernels, qkernels) = (&fkernels, &qkernels);
-                s.spawn(move |_| {
+    let record_crash = |msg: String| {
+        let mut g = crash.lock().unwrap_or_else(PoisonError::into_inner);
+        g.get_or_insert(msg);
+    };
+    // Each tile is pasted as soon as it is computed, so at most one SR
+    // patch per chunk is alive next to the output and the planners'
+    // arenas.
+    let s = model.scale();
+    let out = Mutex::new(Tensor::zeros(&[1, h * s, w * s]));
+    let paste_ns = AtomicU64::new(0);
+    // A panicking tile fails the request as a unit. A planner it leaves
+    // behind stays usable: plans hold geometry and arenas that every run
+    // rewrites before reading.
+    let run_chunk = |planner: &mut AnyTilePlanner, chunk: &[TileSpec]| {
+        for spec in chunk {
+            let tile = catch_unwind(AssertUnwindSafe(|| {
+                if armed.swap(false, Ordering::Relaxed) {
+                    panic!("chaos: injected panic in tile worker");
+                }
+                let sr = planner.run_tile(&job.input, spec);
+                let t = Instant::now();
+                let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+                spec.paste_interior(sr.data(), s, out.data_mut(), w * s);
+                paste_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }));
+            if let Err(p) = tile {
+                return record_crash(panic_message(p.as_ref()));
+            }
+        }
+        peak_arena.fetch_max(planner.max_arena_bytes() as u64, Ordering::Relaxed);
+    };
+    let threads = sesr_tensor::parallel::num_threads().clamp(1, specs.len().max(1));
+    let chunk = specs.len().div_ceil(threads).max(1);
+    let (first, rest) = specs.split_at(chunk.min(specs.len()));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .chunks(chunk)
+            .map(|chunk_specs| {
+                let (fkernels, qkernels, run_chunk) = (&fkernels, &qkernels, &run_chunk);
+                scope.spawn(move || {
                     let mut planner = match qkernels {
                         Some(qk) => AnyTilePlanner::Int8(QuantTilePlanner::new(qk.clone())),
                         None => {
@@ -1536,55 +1565,32 @@ fn run_tiled_compute(
                             AnyTilePlanner::F32(TilePlanner::new(k.clone()))
                         }
                     };
-                    for (slot, spec) in head.iter_mut().zip(chunk_specs) {
-                        let tile = catch_unwind(AssertUnwindSafe(|| {
-                            if armed.swap(false, Ordering::Relaxed) {
-                                panic!("chaos: injected panic in tile worker");
-                            }
-                            planner.run_tile(input, spec)
-                        }));
-                        match tile {
-                            Ok(t) => *slot = Some(t),
-                            Err(p) => {
-                                let mut g = crash.lock().unwrap_or_else(PoisonError::into_inner);
-                                g.get_or_insert_with(|| panic_message(p.as_ref()));
-                                return; // the request fails as a unit
-                            }
-                        }
-                    }
-                    peak_arena.fetch_max(planner.max_arena_bytes() as u64, Ordering::Relaxed);
-                });
-            }
-        });
-        if scope_result.is_err() {
+                    run_chunk(&mut planner, chunk_specs);
+                })
+            })
+            .collect();
+        let (planner, _) = plans.tile_planner_for(&job.key, model, decision);
+        run_chunk(planner, first);
+        for h in handles {
             // Unreachable in practice (tile bodies catch their own
-            // panics), but a scope error must never abort the worker.
-            let mut g = crash.lock().unwrap_or_else(PoisonError::into_inner);
-            g.get_or_insert_with(|| "tile scope failed".to_string());
+            // panics), but a thread panic must never abort the worker:
+            // joining explicitly keeps it out of the scope's own unwind.
+            if h.join().is_err() {
+                record_crash("tile thread panicked".to_string());
+            }
         }
-    }
+    });
     if let Some(msg) = crash.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(TiledFailure::Crash(msg));
     }
-    let t1 = Instant::now();
-    shared.telemetry.record(Stage::Compute, t1 - t0);
-    let s = model.scale();
-    let mut out = Tensor::zeros(&[1, h * s, w * s]);
-    let out_w = w * s;
-    for (spec, sr) in specs.iter().zip(&tiles) {
-        let Some(sr) = sr.as_ref() else {
-            return Err(TiledFailure::Crash("tile result missing".to_string()));
-        };
-        let sr_w = spec.patch_w() * s;
-        for y in spec.y0 * s..spec.y1 * s {
-            let py = y - spec.ey0 * s;
-            for x in spec.x0 * s..spec.x1 * s {
-                let px = x - spec.ex0 * s;
-                out.data_mut()[y * out_w + x] = sr.data()[py * sr_w + px];
-            }
-        }
-    }
-    shared.telemetry.record(Stage::Reassembly, t1.elapsed());
+    // Reassembly is the pasting time summed over tiles; compute is the
+    // rest of the tile phase.
+    let paste = Duration::from_nanos(paste_ns.into_inner());
+    shared
+        .telemetry
+        .record(Stage::Compute, t0.elapsed().saturating_sub(paste));
+    shared.telemetry.record(Stage::Reassembly, paste);
+    let out = out.into_inner().unwrap_or_else(PoisonError::into_inner);
     let arena = peak_arena.load(Ordering::Relaxed);
     let is_int8 = decision.precision == Precision::Int8;
     shared.telemetry.counters(|c| {

@@ -486,7 +486,7 @@ impl VideoSession {
                 Some(prev) => 0.7 * prev + 0.3 * sample,
                 None => sample,
             });
-            paste_interior(&mut out, &sr, &spec, s);
+            spec.paste_interior(sr.data(), s, out.data_mut(), w * s);
             frame_stats.tiles_recomputed += 1;
             frame_stats.rungs[rung.min(RUNG_BUCKETS - 1)] += 1;
             if rung < top {
@@ -599,19 +599,6 @@ fn edge_energy(frame: &Tensor, t: &TileSpec) -> f64 {
     } else {
         sum / n as f64
     }
-}
-
-/// Pastes the interior of a halo-expanded SR patch into the HR plane.
-fn paste_interior(out: &mut Tensor, sr: &Tensor, spec: &TileSpec, s: usize) {
-    out.copy_region_hw(
-        sr,
-        (spec.y0 - spec.ey0) * s,
-        (spec.x0 - spec.ex0) * s,
-        (spec.y1 - spec.y0) * s,
-        (spec.x1 - spec.x0) * s,
-        spec.y0 * s,
-        spec.x0 * s,
-    );
 }
 
 #[cfg(test)]

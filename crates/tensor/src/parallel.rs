@@ -1,8 +1,8 @@
 //! Persistent-pool data-parallel helpers.
 //!
 //! The heavy kernels in this crate (GEMM, direct convolution) are
-//! embarrassingly parallel over output rows. Earlier revisions spawned a
-//! fresh `crossbeam::scope` per call, which put a thread-creation syscall
+//! embarrassingly parallel over output rows. Earlier revisions spawned
+//! fresh scoped threads per call, which put a thread-creation syscall
 //! on every GEMM in the training hot path. This module instead keeps one
 //! process-wide pool of parked worker threads and hands each
 //! [`parallel_for`] call out as contiguous chunks of the index range —

@@ -22,6 +22,7 @@
 
 use proptest::prelude::*;
 use sesr_tensor::autotune::{gemm_blocking_with, pick, GemmBlocking};
+use sesr_tensor::gemm::KC;
 use sesr_tensor::simd::{detected_variants, microkernel, KernelVariant, RowAct};
 
 /// One multiply-add with the variant's documented rounding behavior.
@@ -125,29 +126,59 @@ proptest! {
         }
     }
 
-    /// `axpy_taps` keeps the documented contract: bit-identical to
-    /// `ws.len()` successive `axpy` calls of the *same* variant — the
-    /// register-resident accumulator must not change any chain.
+    /// `conv_row_block` keeps the documented contract for every channel
+    /// block size, tap count up to `KC`, row length and slice offset: per
+    /// channel, one chain from `+0.0` over the taps in ascending order —
+    /// the variant's rounding (`c + a*b`, or `a.mul_add(b, c)` under
+    /// `avx2fma`) and, equally, sequential `axpy` calls of the same
+    /// variant onto a zeroed row — then stored, or added to the row.
     #[test]
-    fn axpy_taps_equals_sequential_axpy(
-        len in 1usize..100,
-        nt in 1usize..12,
-        acc0 in buf(100),
-        ws in buf(12),
-        segsrc in buf(12 * 104),
+    fn conv_row_block_equals_per_channel_chains(
+        len in 0usize..200,
+        nco in 1usize..18,
+        nt in 0usize..=KC,
+        off in 0usize..8,
+        accumulate in any::<bool>(),
+        out0 in buf(17 * 200 + 8),
+        ws in buf(17 * KC),
+        backing in buf(272),
     ) {
+        let segs: Vec<&[f32]> = (0..nt).map(|t| &backing[(off + 3 * t) % 64..][..len]).collect();
+        let ws = &ws[..nt * nco];
         for &v in detected_variants() {
             let mk = microkernel(v);
-            let segs: Vec<&[f32]> = (0..nt).map(|t| &segsrc[t * 104..t * 104 + len]).collect();
-            let mut fused_acc = acc0[..len].to_vec();
-            mk.axpy_taps(&mut fused_acc, &ws[..nt], &segs);
-            let mut seq_acc = acc0[..len].to_vec();
-            for t in 0..nt {
-                mk.axpy(&mut seq_acc, segs[t], ws[t]);
+            let fused = v.fused_madd();
+            let mut want = out0.clone();
+            let mut seq = out0.clone();
+            for c in 0..nco {
+                let mut chain = vec![0.0f32; len];
+                for (t, seg) in segs.iter().enumerate() {
+                    mk.axpy(&mut chain, seg, ws[t * nco + c]);
+                }
+                for x in 0..len {
+                    let mut s = 0.0f32;
+                    for (t, seg) in segs.iter().enumerate() {
+                        s = madd(fused, ws[t * nco + c], seg[x], s);
+                    }
+                    let (wi, si) = (&mut want[off + c * len + x], &mut seq[off + c * len + x]);
+                    if accumulate {
+                        *wi += s;
+                        *si += chain[x];
+                    } else {
+                        *wi = s;
+                        *si = chain[x];
+                    }
+                }
             }
+            let mut got = out0.clone();
+            mk.conv_row_block(&mut got[off..off + nco * len], nco, ws, &segs, accumulate);
             prop_assert_eq!(
-                bits(&fused_acc), bits(&seq_acc),
-                "axpy_taps != sequential axpy on {}", v.name()
+                bits(&got), bits(&want),
+                "conv_row_block != reference chain on {}", v.name()
+            );
+            prop_assert_eq!(
+                bits(&got), bits(&seq),
+                "conv_row_block != sequential axpy on {}", v.name()
             );
         }
     }

@@ -15,6 +15,7 @@ use sesr::core::infer_plan::{CollapsedKernels, InferPlan};
 use sesr::core::model::{Sesr, SesrConfig};
 use sesr::core::CollapsedSesr;
 use sesr::tensor::parallel::{num_threads, set_num_threads};
+use sesr::tensor::simd::{detected_variants, set_kernel_variant, variant_test_lock};
 use sesr::tensor::Tensor;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -67,6 +68,8 @@ proptest! {
         bands in 1usize..5,
         seed in 0u64..1000,
     ) {
+        // The sweep below repins the process-global variant; hold it still.
+        let _variant = variant_test_lock();
         let scale = if scale_x4 { 4 } else { 2 };
         let net = model(arch_idx, scale);
         let lr = Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, seed);
@@ -104,6 +107,7 @@ proptest! {
         n in 1usize..4,
         seed in 0u64..1000,
     ) {
+        let _variant = variant_test_lock();
         let net = model(arch_idx, 2);
         let images: Vec<Tensor> = (0..n)
             .map(|i| Tensor::rand_uniform(&[1, h, w], 0.0, 1.0, seed + i as u64))
@@ -118,5 +122,46 @@ proptest! {
         let single = net.run(&images[0]);
         let single_ref = net.run_reference(&images[0]);
         prop_assert!(single.max_abs_diff(&single_ref) == 0.0);
+    }
+}
+
+/// Deterministic sweep over the widths the direct 5x5 kernel runs, on
+/// every detected variant with both the plan and the reference pinned to
+/// it. M5 x2 takes every width 1..=70 (narrower than the kernel, every
+/// masked tail, the 8- and 16-column vector blocks) plus the 148-column
+/// patches of 360x640 serving, heights 1..=6 (cycled over the narrow
+/// widths) and a tall band-split case. M5 x4 (head `cout` 16 instead of
+/// 4) takes every column remainder, 52 (video tiles) and 148. Shapes are
+/// kept small because tier-1 runs this unoptimized.
+#[test]
+fn width_sweep_is_bit_identical_on_every_variant() {
+    let _variant = variant_test_lock();
+    let m5 = ARCHS.iter().position(|&a| a == "m5").expect("m5 is swept");
+    let x2: Vec<(usize, usize)> = (1..=70)
+        .chain([148])
+        .map(|w| (if w <= 24 { 1 + w % 6 } else { 1 + w % 2 }, w))
+        .chain([(21, 20)])
+        .collect();
+    let x4: Vec<(usize, usize)> = (1..=17).chain([52, 148]).map(|w| (1 + w % 2, w)).collect();
+    for (scale, shapes) in [(2, x2), (4, x4)] {
+        let net = model(m5, scale);
+        let kernels = Arc::new(CollapsedKernels::new(net));
+        for &v in detected_variants() {
+            let prev = set_kernel_variant(v);
+            for &(h, w) in &shapes {
+                let lr = Tensor::rand_uniform(&[1, h, w], -1.0, 1.0, (h * 1000 + w) as u64);
+                let want = net.run_reference(&lr);
+                let mut plan = InferPlan::with_bands(kernels.clone(), h, w, 1 + w % 3);
+                plan.set_variant(v);
+                let got = plan.run(&lr);
+                let same = want
+                    .data()
+                    .iter()
+                    .zip(got.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "m5 x{scale} {h}x{w} diverged on {}", v.name());
+            }
+            set_kernel_variant(prev);
+        }
     }
 }
